@@ -56,77 +56,56 @@ or the explicit layers (identical results)::
     ).run()
 """
 
-from repro import analysis
-from repro.analysis import analyze_sweep, load, render
-from repro.api import run
-from repro.bench.engine import ExperimentSpec, SweepRunner, run_spec
-from repro.bench.store import ResultStore
-from repro.core.context import ExecutionConfig
-from repro.core.executor import FSConfig, PipelineExecutor, PipelineResult
-from repro.core.model import CombinationAnalysis, IOModel, PipelineModel
-from repro.core.pipeline import (
-    NodeAssignment,
-    PipelineSpec,
-    build_embedded_pipeline,
-    build_separate_io_pipeline,
-    combine_pulse_cfar,
-)
-from repro.core.arrivals import ArrivalSpec
-from repro.machine.presets import MachinePreset, generic_cluster, ibm_sp, paragon
-from repro.obs import MetricsRegistry
-from repro.scenario import (
-    ScenarioResult,
-    ScenarioSpec,
-    TenantSpec,
-    run_scenario,
-)
-from repro.service import ExperimentScheduler, JobHandle
-from repro.stap.chain import run_cpi_stream, stap_chain
-from repro.stap.params import STAPParams
-from repro.stap.scenario import Jammer, Scenario, Target, make_cube
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "run",
-    "analysis",
-    "load",
-    "analyze_sweep",
-    "render",
-    "MetricsRegistry",
-    "ExecutionConfig",
-    "ExperimentSpec",
-    "SweepRunner",
-    "ExperimentScheduler",
-    "JobHandle",
-    "ResultStore",
-    "run_spec",
-    "FSConfig",
-    "PipelineExecutor",
-    "PipelineResult",
-    "ArrivalSpec",
-    "ScenarioSpec",
-    "TenantSpec",
-    "ScenarioResult",
-    "run_scenario",
-    "PipelineModel",
-    "IOModel",
-    "CombinationAnalysis",
-    "NodeAssignment",
-    "PipelineSpec",
-    "build_embedded_pipeline",
-    "build_separate_io_pipeline",
-    "combine_pulse_cfar",
-    "MachinePreset",
-    "paragon",
-    "ibm_sp",
-    "generic_cluster",
-    "STAPParams",
-    "Scenario",
-    "Target",
-    "Jammer",
-    "make_cube",
-    "stap_chain",
-    "run_cpi_stream",
-]
+#: Public name -> defining module.  Names resolve on first access (PEP
+#: 562), so ``import repro`` loads no numerics; scipy is imported only
+#: by the functional STAP path (adaptive weights, spectra, SINR).
+_EXPORTS = {
+    "run": "repro.api",
+    "analysis": "repro.analysis",
+    "load": "repro.analysis",
+    "analyze_sweep": "repro.analysis",
+    "render": "repro.analysis",
+    "MetricsRegistry": "repro.obs",
+    "ExecutionConfig": "repro.core.config",
+    "ExperimentSpec": "repro.bench.engine",
+    "SweepRunner": "repro.bench.engine",
+    "ExperimentScheduler": "repro.service",
+    "JobHandle": "repro.service",
+    "ResultStore": "repro.bench.store",
+    "run_spec": "repro.bench.engine",
+    "FSConfig": "repro.core.config",
+    "PipelineExecutor": "repro.core.executor",
+    "PipelineResult": "repro.core.result",
+    "ArrivalSpec": "repro.core.arrivals",
+    "ScenarioSpec": "repro.scenario",
+    "TenantSpec": "repro.scenario",
+    "ScenarioResult": "repro.scenario",
+    "run_scenario": "repro.scenario",
+    "PipelineModel": "repro.core.model",
+    "IOModel": "repro.core.model",
+    "CombinationAnalysis": "repro.core.model",
+    "NodeAssignment": "repro.core.pipeline",
+    "PipelineSpec": "repro.core.pipeline",
+    "build_embedded_pipeline": "repro.core.pipeline",
+    "build_separate_io_pipeline": "repro.core.pipeline",
+    "combine_pulse_cfar": "repro.core.pipeline",
+    "MachinePreset": "repro.machine.presets",
+    "paragon": "repro.machine.presets",
+    "ibm_sp": "repro.machine.presets",
+    "generic_cluster": "repro.machine.presets",
+    "STAPParams": "repro.stap.params",
+    "Scenario": "repro.stap.scenario",
+    "Target": "repro.stap.scenario",
+    "Jammer": "repro.stap.scenario",
+    "make_cube": "repro.stap.scenario",
+    "stap_chain": "repro.stap.chain",
+    "run_cpi_stream": "repro.stap.chain",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -66,9 +66,8 @@ class LocalBackend:
         return self.feed.since(after)
 
     def stats(self) -> Dict[str, Any]:
-        snap = self.scheduler.metrics.snapshot()
-        snap["tasks_in_flight"] = self.scheduler.tasks_in_flight
-        return {"stats": snap, "workers": self.scheduler.worker_pids()}
+        return {"stats": self.scheduler.stats(),
+                "workers": self.scheduler.worker_pids()}
 
 
 class RemoteBackend:

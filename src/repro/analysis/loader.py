@@ -5,7 +5,7 @@ Before this module, each consumer had its own resolution convention:
 wanted a live ``PipelineResult``, and the result store only answered to
 exact spec hashes.  :func:`load` is the single front door — it accepts
 
-* a :class:`~repro.core.executor.PipelineResult` or
+* a :class:`~repro.core.result.PipelineResult` or
   :class:`~repro.scenario.spec.ScenarioResult` instance,
 * a raw result / store-entry / export-envelope / metrics dict,
 * a path to a ``.metrics.json`` / ``.trace.json`` / result JSON file,
@@ -38,7 +38,7 @@ class LoadedResult:
     ``kind`` says what the artifact fundamentally is:
 
     * ``"pipeline"`` — a single-pipeline result (``result`` is a
-      :class:`~repro.core.executor.PipelineResult`);
+      :class:`~repro.core.result.PipelineResult`);
     * ``"scenario"`` — a multi-tenant result (``result`` is a
       :class:`~repro.scenario.spec.ScenarioResult`);
     * ``"metrics"`` — a bare metrics artifact with no surrounding
@@ -82,7 +82,7 @@ class LoadedResult:
 
 def _wrap_result(result, origin: str) -> LoadedResult:
     """Wrap a live PipelineResult / ScenarioResult instance."""
-    from repro.core.executor import PipelineResult
+    from repro.core.result import PipelineResult
     from repro.scenario.spec import ScenarioResult
 
     if isinstance(result, ScenarioResult):
@@ -111,7 +111,7 @@ def _wrap_result(result, origin: str) -> LoadedResult:
 
 def _from_result_dict(d: dict, origin: str) -> LoadedResult:
     """Rehydrate a raw result dict (scenario or pipeline shape)."""
-    from repro.core.executor import PipelineResult
+    from repro.core.result import PipelineResult
     from repro.scenario.spec import ScenarioResult
 
     try:

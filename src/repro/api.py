@@ -25,9 +25,9 @@ from typing import Optional, Union
 
 from repro.bench.engine import ExperimentSpec, SweepRunner
 from repro.bench.store import ResultStore
-from repro.core.context import ExecutionConfig
-from repro.core.executor import FSConfig, PipelineResult
+from repro.core.config import ExecutionConfig, FSConfig
 from repro.core.pipeline import NodeAssignment
+from repro.core.result import PipelineResult
 from repro.errors import ConfigurationError
 from repro.stap.params import STAPParams
 

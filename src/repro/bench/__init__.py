@@ -10,75 +10,45 @@ from a plain Python session::
     print(run_table1().render())
 """
 
-from repro.bench.artifacts import (
-    DiscoveredArtifacts,
-    ParsedTextArtifact,
-    discover_artifacts,
-    parse_text_artifact,
-)
-from repro.bench.cases import PAPER_CASES, BenchCase, paper_cases, paper_filesystems
-from repro.bench.engine import (
-    PIPELINES,
-    DiskFault,
-    ExperimentSpec,
-    NodeFault,
-    SweepRunner,
-    WriterLoad,
-    run_spec,
-)
-from repro.bench.experiments import (
-    CellResult,
-    ExperimentResult,
-    InterferenceAblation,
-    run_ablation_async,
-    run_ablation_bottleneck_migration,
-    run_ablation_combination_analysis,
-    run_ablation_interference,
-    run_ablation_straggler_disk,
-    run_ablation_straggler_node,
-    run_ablation_stripe_sweep,
-    run_ablation_writer_interference,
-    run_fig8,
-    run_single,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-)
-from repro.bench.store import ResultStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DiscoveredArtifacts",
-    "ParsedTextArtifact",
-    "discover_artifacts",
-    "parse_text_artifact",
-    "BenchCase",
-    "PAPER_CASES",
-    "paper_cases",
-    "paper_filesystems",
-    "ExperimentSpec",
-    "SweepRunner",
-    "ResultStore",
-    "run_spec",
-    "DiskFault",
-    "NodeFault",
-    "WriterLoad",
-    "CellResult",
-    "ExperimentResult",
-    "run_single",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_fig8",
-    "PIPELINES",
-    "run_ablation_stripe_sweep",
-    "run_ablation_bottleneck_migration",
-    "run_ablation_straggler_disk",
-    "run_ablation_straggler_node",
-    "run_ablation_async",
-    "run_ablation_combination_analysis",
-    "run_ablation_writer_interference",
-    "run_ablation_interference",
-    "InterferenceAblation",
-]
+#: Public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    "DiscoveredArtifacts": "repro.bench.artifacts",
+    "ParsedTextArtifact": "repro.bench.artifacts",
+    "discover_artifacts": "repro.bench.artifacts",
+    "parse_text_artifact": "repro.bench.artifacts",
+    "BenchCase": "repro.bench.cases",
+    "PAPER_CASES": "repro.bench.cases",
+    "paper_cases": "repro.bench.cases",
+    "paper_filesystems": "repro.bench.cases",
+    "ExperimentSpec": "repro.bench.engine",
+    "SweepRunner": "repro.bench.engine",
+    "ResultStore": "repro.bench.store",
+    "run_spec": "repro.bench.engine",
+    "DiskFault": "repro.bench.engine",
+    "NodeFault": "repro.bench.engine",
+    "WriterLoad": "repro.bench.engine",
+    "CellResult": "repro.bench.experiments",
+    "ExperimentResult": "repro.bench.experiments",
+    "run_single": "repro.bench.experiments",
+    "run_table1": "repro.bench.experiments",
+    "run_table2": "repro.bench.experiments",
+    "run_table3": "repro.bench.experiments",
+    "run_table4": "repro.bench.experiments",
+    "run_fig8": "repro.bench.experiments",
+    "PIPELINES": "repro.bench.engine",
+    "run_ablation_stripe_sweep": "repro.bench.experiments",
+    "run_ablation_bottleneck_migration": "repro.bench.experiments",
+    "run_ablation_straggler_disk": "repro.bench.experiments",
+    "run_ablation_straggler_node": "repro.bench.experiments",
+    "run_ablation_async": "repro.bench.experiments",
+    "run_ablation_combination_analysis": "repro.bench.experiments",
+    "run_ablation_writer_interference": "repro.bench.experiments",
+    "run_ablation_interference": "repro.bench.experiments",
+    "InterferenceAblation": "repro.bench.experiments",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

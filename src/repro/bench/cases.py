@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.executor import FSConfig
+from repro.core.config import FSConfig
 from repro.core.pipeline import NodeAssignment
 from repro.machine.presets import MachinePreset, ibm_sp, paragon
 from repro.stap.params import STAPParams

@@ -5,14 +5,14 @@ file systems x node-assignment cases plus ablations.  This module makes
 each grid cell a first-class, serializable value:
 
 * :class:`ExperimentSpec` fully describes one cell — pipeline builder,
-  node assignment, machine preset, :class:`~repro.core.executor.FSConfig`,
+  node assignment, machine preset, :class:`~repro.core.config.FSConfig`,
   :class:`~repro.stap.params.STAPParams`,
-  :class:`~repro.core.context.ExecutionConfig`, a seed, and optional
+  :class:`~repro.core.config.ExecutionConfig`, a seed, and optional
   fault injections (straggler disk/node, concurrent radar writer).  A
   spec is deterministically hashable (:meth:`ExperimentSpec.spec_hash`),
   so any result can be content-addressed by the spec that produced it.
 * :func:`run_spec` executes one cell and returns the
-  :class:`~repro.core.executor.PipelineResult`.
+  :class:`~repro.core.result.PipelineResult`.
 * :class:`SweepRunner` executes a list of specs — in-process at
   ``jobs=1`` (debuggable), or over a persistent worker pool at
   ``jobs>1`` (the DES is single-threaded pure Python, so cells are
@@ -34,10 +34,9 @@ import json
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro.core.context import ExecutionConfig
-from repro.core.executor import FSConfig, PipelineExecutor, PipelineResult
+from repro.core.config import ExecutionConfig, FSConfig
 from repro.core.pipeline import (
     NodeAssignment,
     PipelineSpec,
@@ -45,10 +44,14 @@ from repro.core.pipeline import (
     build_separate_io_pipeline,
     combine_pulse_cfar,
 )
+from repro.core.result import PipelineResult
 from repro.errors import ConfigurationError
 from repro.machine.presets import MachinePreset, generic_cluster, ibm_sp, paragon
 from repro.stap.params import STAPParams
 from repro.strategies import get_strategy, strategy_names
+
+if TYPE_CHECKING:
+    from repro.core.executor import PipelineExecutor
 
 __all__ = [
     "SPEC_SCHEMA",
@@ -476,6 +479,8 @@ def _check_server_index(ex: PipelineExecutor, server: int, what: str) -> None:
 
 def build_executor(spec: ExperimentSpec) -> PipelineExecutor:
     """Instantiate the cell's executor, with fault injections applied."""
+    from repro.core.executor import PipelineExecutor
+
     ex = PipelineExecutor(
         spec.build_pipeline(),
         spec.params,

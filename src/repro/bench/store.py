@@ -31,9 +31,10 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
-from repro.core.executor import PipelineResult
+if TYPE_CHECKING:
+    from repro.core.result import PipelineResult
 
 __all__ = ["ResultStore", "DEFAULT_CACHE_DIR", "substrate_fingerprint"]
 
@@ -169,6 +170,8 @@ class ResultStore:
 
     def get(self, spec) -> Optional[PipelineResult]:
         """The stored result of ``spec``, or None on a miss."""
+        from repro.core.result import PipelineResult
+
         result = self.get_dict(spec)
         if result is None:
             return None

@@ -16,7 +16,7 @@ engine skip them:
   :meth:`~SurrogateScreen.plan` partitions a batch of specs into
   *simulate* and *predict* decisions.
 * :func:`predicted_result` materialises a prediction as a
-  :class:`~repro.core.executor.PipelineResult` tagged
+  :class:`~repro.core.result.PipelineResult` tagged
   ``source="predicted"`` with its error bound attached, so predictions
   flow through the exact plumbing (store, wire format, sweep results)
   as simulations — and are never mistaken for them.
@@ -67,9 +67,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.executor import PipelineResult
 from repro.core.metrics import PipelineMeasurement, TaskPhaseStats
 from repro.core.model import IOModel, PipelineModel
+from repro.core.result import PipelineResult
 from repro.core.task import TaskKind
 from repro.errors import ConfigurationError
 from repro.trace.collector import TraceCollector

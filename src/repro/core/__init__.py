@@ -16,66 +16,52 @@ Subpackage map:
 * :mod:`~repro.core.executor` — runs a pipeline on the simulated machine
   (compute mode: real numerics; timing mode: cost-model phantoms) and
   measures throughput, latency, and per-task phase times;
+* :mod:`~repro.core.config` / :mod:`~repro.core.result` — the run
+  descriptors (``ExecutionConfig``, ``FSConfig``) and ``PipelineResult``,
+  importable without the simulation layers;
 * :mod:`~repro.core.metrics` — steady-state measurement from traces.
 """
 
-from repro.core.partition import BlockPartition, label_block_rows
-from repro.core.task import TaskKind, TaskSpec, TaskInstance
-from repro.core.graph import DependencyKind, Edge, TaskGraph
-from repro.core.pipeline import (
-    NodeAssignment,
-    PipelineSpec,
-    build_embedded_pipeline,
-    build_separate_io_pipeline,
-    combine_pulse_cfar,
-)
-from repro.core.arrivals import ArrivalSpec
-from repro.core.model import CombinationAnalysis, IOModel, PipelineModel
-from repro.core.executor import (
-    ExecutionConfig,
-    PipelineExecutor,
-    PipelineResult,
-    Substrate,
-    validate_fs_hints,
-)
-from repro.core.metrics import PipelineMeasurement, TaskPhaseStats, measure
-from repro.core.plan import PipelinePlan
-from repro.core.scaling import ScalingStudy, run_scaling_study
-from repro.core.stages import BoundedQueue, TaskStages, run_sequential, run_threaded
-from repro.core.validate import validate_plan
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlockPartition",
-    "label_block_rows",
-    "TaskKind",
-    "TaskSpec",
-    "TaskInstance",
-    "DependencyKind",
-    "Edge",
-    "TaskGraph",
-    "NodeAssignment",
-    "PipelineSpec",
-    "build_embedded_pipeline",
-    "build_separate_io_pipeline",
-    "combine_pulse_cfar",
-    "PipelineModel",
-    "IOModel",
-    "CombinationAnalysis",
-    "ExecutionConfig",
-    "PipelineExecutor",
-    "PipelineResult",
-    "ArrivalSpec",
-    "Substrate",
-    "validate_fs_hints",
-    "PipelinePlan",
-    "TaskPhaseStats",
-    "PipelineMeasurement",
-    "measure",
-    "TaskStages",
-    "BoundedQueue",
-    "run_sequential",
-    "run_threaded",
-    "ScalingStudy",
-    "run_scaling_study",
-    "validate_plan",
-]
+#: Public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    "BlockPartition": "repro.core.partition",
+    "label_block_rows": "repro.core.partition",
+    "TaskKind": "repro.core.task",
+    "TaskSpec": "repro.core.task",
+    "TaskInstance": "repro.core.task",
+    "DependencyKind": "repro.core.graph",
+    "Edge": "repro.core.graph",
+    "TaskGraph": "repro.core.graph",
+    "NodeAssignment": "repro.core.pipeline",
+    "PipelineSpec": "repro.core.pipeline",
+    "build_embedded_pipeline": "repro.core.pipeline",
+    "build_separate_io_pipeline": "repro.core.pipeline",
+    "combine_pulse_cfar": "repro.core.pipeline",
+    "PipelineModel": "repro.core.model",
+    "IOModel": "repro.core.model",
+    "CombinationAnalysis": "repro.core.model",
+    "ExecutionConfig": "repro.core.config",
+    "FSConfig": "repro.core.config",
+    "PipelineExecutor": "repro.core.executor",
+    "PipelineResult": "repro.core.result",
+    "ArrivalSpec": "repro.core.arrivals",
+    "Substrate": "repro.core.executor",
+    "validate_fs_hints": "repro.core.executor",
+    "PipelinePlan": "repro.core.plan",
+    "TaskPhaseStats": "repro.core.metrics",
+    "PipelineMeasurement": "repro.core.metrics",
+    "measure": "repro.core.metrics",
+    "TaskStages": "repro.core.stages",
+    "BoundedQueue": "repro.core.stages",
+    "run_sequential": "repro.core.stages",
+    "run_threaded": "repro.core.stages",
+    "ScalingStudy": "repro.core.scaling",
+    "run_scaling_study": "repro.core.scaling",
+    "validate_plan": "repro.core.validate",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

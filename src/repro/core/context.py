@@ -8,10 +8,9 @@ credit-window flow control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.core.arrivals import ArrivalSpec
+from repro.core.config import ExecutionConfig
 from repro.core.plan import PipelinePlan
 from repro.core.task import TaskInstance
 from repro.io.fileset import CubeFileSet
@@ -33,115 +32,6 @@ def data_tag(cpi: int) -> int:
     """Message tag for CPI ``cpi`` (offset so the bootstrap CPI -1 is
     representable as a valid non-negative tag)."""
     return cpi + 1
-
-
-@dataclass(frozen=True)
-class ExecutionConfig:
-    """How to run a pipeline.
-
-    Attributes
-    ----------
-    n_cpis:
-        CPIs pushed through the pipeline.
-    warmup:
-        Leading CPIs excluded from steady-state metrics.
-    window:
-        Credit window W: a producer may be at most W CPIs ahead of each
-        of its consumers (bounds buffering, like the real system's
-        finite message buffers).
-    compute:
-        True = real numerics flow (compute mode); False = phantom
-        payloads and cost-model times only (timing mode).
-    threaded:
-        False = the paper's single-threaded nodes (phases in sequence);
-        True = the IPPS'99 companion design: receive/compute/send run as
-        concurrent threads per node (SMP nodes), overlapping phases of
-        successive CPIs.
-    write_reports:
-        When True, the sink task writes each CPI's detection reports
-        back into the parallel file system (one file per sink node) —
-        the output-side I/O the authors' journal version studies.  The
-        writes queue on the same stripe-directory disks as the reads.
-    read_deadline:
-        Graceful-degradation deadline (simulated seconds) for the
-        per-CPI slab read.  When set, a reading task that cannot obtain
-        its CPI slab within the deadline *skips* the CPI — recording a
-        :class:`~repro.core.metrics.DroppedCpi` instead of stalling the
-        whole pipeline behind a failed stripe server.  ``None`` (the
-        default) keeps the classic stall-forever behaviour.
-    metrics_interval:
-        Simulated-time gauge-sampling interval for the observability
-        layer (:mod:`repro.obs`).  When set, the executor builds a
-        :class:`~repro.obs.MetricsRegistry`, samples it every this many
-        simulated seconds, and attaches the time-series artifact to
-        ``PipelineResult.metrics``.  Sampling rides the kernel's
-        clock-advance hook, so event order — and every simulated
-        quantity — is bit-identical with metrics on or off.  ``None``
-        (the default) disables metrics entirely.
-    arrival:
-        CPI arrival process (:class:`~repro.core.arrivals.ArrivalSpec`).
-        When set, the reading task gates each CPI's read on its arrival
-        time — modelling a radar front end that delivers CPIs on a
-        cadence instead of a pre-populated file system.  ``None`` (the
-        default) keeps the classic all-data-ready behaviour and is
-        bit-identical to it.
-    """
-
-    n_cpis: int = 8
-    warmup: int = 2
-    window: int = 2
-    compute: bool = False
-    threaded: bool = False
-    write_reports: bool = False
-    read_deadline: Optional[float] = None
-    metrics_interval: Optional[float] = None
-    arrival: Optional[ArrivalSpec] = None
-
-    def __post_init__(self) -> None:
-        if self.n_cpis < 1:
-            raise ValueError("n_cpis must be >= 1")
-        if not (0 <= self.warmup < self.n_cpis):
-            raise ValueError("warmup must be in [0, n_cpis)")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.read_deadline is not None and self.read_deadline <= 0:
-            raise ValueError("read_deadline must be > 0 (or None)")
-        if self.metrics_interval is not None and self.metrics_interval <= 0:
-            raise ValueError("metrics_interval must be > 0 (or None)")
-        if self.arrival is not None and not isinstance(self.arrival, ArrivalSpec):
-            raise ValueError("arrival must be an ArrivalSpec (or None)")
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form.
-
-        ``read_deadline``, ``metrics_interval``, and ``arrival`` are
-        emitted only when set so configs predating those features keep
-        their exact hashes.
-        """
-        d: Dict[str, Any] = {
-            "n_cpis": self.n_cpis,
-            "warmup": self.warmup,
-            "window": self.window,
-            "compute": self.compute,
-            "threaded": self.threaded,
-            "write_reports": self.write_reports,
-        }
-        if self.read_deadline is not None:
-            d["read_deadline"] = self.read_deadline
-        if self.metrics_interval is not None:
-            d["metrics_interval"] = self.metrics_interval
-        if self.arrival is not None:
-            d["arrival"] = self.arrival.to_dict()
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "ExecutionConfig":
-        """Inverse of :meth:`to_dict`."""
-        if d.get("arrival") is not None and not isinstance(d["arrival"], ArrivalSpec):
-            d = dict(d)
-            d["arrival"] = ArrivalSpec.from_dict(d["arrival"])
-        return ExecutionConfig(**d)
 
 
 class TaskContext:

@@ -9,7 +9,7 @@
    process per task node running its body;
 4. run the kernel to completion and measure.
 
-``FSConfig`` carries the file-system choice — ``kind`` selects paper
+``FSConfig`` (:mod:`repro.core.config`) carries the file-system choice — ``kind`` selects paper
 semantics (``"pfs"`` async-capable, ``"piofs"`` synchronous-only) and
 ``stripe_factor`` is the paper's central knob.
 
@@ -24,15 +24,16 @@ hosting several tenant pipelines on the same disks and links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.core.bodies import body_for
-from repro.core.context import ExecutionConfig, TaskContext
-from repro.core.metrics import DroppedCpi, PipelineMeasurement, measure
-from repro.core.serialize import compat_get
+from repro.core.config import ExecutionConfig, FSConfig
+from repro.core.context import TaskContext
+from repro.core.metrics import measure
 from repro.core.pipeline import PipelineSpec
 from repro.core.plan import PipelinePlan
+from repro.core.result import PipelineResult
 from repro.core.validate import validate_plan
 from repro.io.fileset import CubeFileSet, CubeSource
 from repro.machine.presets import MachinePreset
@@ -43,7 +44,6 @@ from repro.pfs.blockdev import DiskSpec
 from repro.pfs.pfs import PFS
 from repro.pfs.piofs import PIOFS
 from repro.sim.kernel import Kernel
-from repro.stap.cfar import Detection
 from repro.stap.params import STAPParams
 from repro.stap.scenario import Scenario
 from repro.strategies import strategy_for_spec
@@ -99,83 +99,6 @@ def validate_fs_hints(fs_config: "FSConfig", fs) -> None:
                 f"{capability} capability the hint needs. "
                 f"Valid hints: {_hint_catalogue()}"
             )
-
-
-@dataclass(frozen=True)
-class FSConfig:
-    """Which parallel file system to build, and its geometry.
-
-    ``replication > 1`` mirrors each stripe unit over that many
-    directories (chained declustering) and switches clients to the
-    fault-tolerant retry/failover path — see ``docs/fault_model.md``.
-
-    The three optional ROMIO-style hints tune the noncontiguous-access
-    strategies (``docs/io_strategies.md``): ``sieve_buffer_size``
-    replaces the data-sieving readers' whole-stripe-unit widening with an
-    arbitrary alignment granularity, ``cb_nodes`` caps how many of the
-    reading task's nodes act as phase-one aggregators in collective
-    two-phase I/O, and ``list_io_max_runs`` caps the contiguous pieces
-    one batched list-I/O request may carry.  Unset hints are omitted
-    from serialization, so hint-free configs keep their exact
-    pre-existing hashes.
-    """
-
-    kind: str = "pfs"            # "pfs" (async) or "piofs" (sync-only)
-    stripe_factor: int = 64
-    stripe_unit: int = 64 * 1024
-    disk_bw: Optional[float] = None        # default: preset's disk
-    disk_overhead: Optional[float] = None
-    name: str = ""
-    replication: int = 1
-    sieve_buffer_size: Optional[int] = None
-    cb_nodes: Optional[int] = None
-    list_io_max_runs: Optional[int] = None
-
-    #: The ROMIO-style hint field names, in serialization order.
-    HINT_FIELDS = ("sieve_buffer_size", "cb_nodes", "list_io_max_runs")
-
-    def hint_dict(self) -> Dict[str, int]:
-        """The hints that are actually set, as a plain dict."""
-        return {
-            k: getattr(self, k)
-            for k in self.HINT_FIELDS
-            if getattr(self, k) is not None
-        }
-
-    def label(self) -> str:
-        """Display label, e.g. ``"PFS sf=64"`` or ``"PFS sf=4 rep=2"``."""
-        if self.name:
-            return self.name
-        base = f"{self.kind.upper()} sf={self.stripe_factor}"
-        if self.replication > 1:
-            base += f" rep={self.replication}"
-        return base
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form.
-
-        ``replication`` is emitted only when mirroring is on, and each
-        ROMIO-style hint only when set, so unreplicated hint-free
-        configs keep their exact pre-existing hashes.
-        """
-        d = {
-            "kind": self.kind,
-            "stripe_factor": self.stripe_factor,
-            "stripe_unit": self.stripe_unit,
-            "disk_bw": self.disk_bw,
-            "disk_overhead": self.disk_overhead,
-            "name": self.name,
-        }
-        if self.replication != 1:
-            d["replication"] = self.replication
-        d.update(self.hint_dict())
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "FSConfig":
-        """Inverse of :meth:`to_dict`."""
-        return FSConfig(**d)
 
 
 @dataclass
@@ -259,156 +182,6 @@ class Substrate:
         validate_fs_hints(fs_config, fs)
         fs.hints.update(fs_config.hint_dict())
         return cls(kernel=kernel, machine=machine, fs=fs)
-
-
-@dataclass
-class PipelineResult:
-    """Everything a pipeline run produced."""
-
-    spec: PipelineSpec
-    cfg: ExecutionConfig
-    fs_label: str
-    machine_name: str
-    trace: TraceCollector
-    measurement: PipelineMeasurement
-    detections: List[Detection]
-    elapsed_sim_time: float
-
-    @property
-    def throughput(self) -> float:
-        return self.measurement.throughput
-
-    @property
-    def latency(self) -> float:
-        return self.measurement.latency
-
-    #: Filled in by the executor after the run.
-    disk_stats: "Optional[dict]" = None
-    #: (src_rank, dst_rank) -> [messages, bytes]; rank -> task name.
-    rank_traffic: "Optional[dict]" = None
-    rank_task: "Optional[dict]" = None
-    #: CPIs skipped at the read deadline; None unless a deadline was set.
-    dropped_cpis: "Optional[List[DroppedCpi]]" = None
-    #: JSON time-series metrics artifact (see :mod:`repro.obs`); None
-    #: unless ``cfg.metrics_interval`` was set.
-    metrics: "Optional[dict]" = None
-    #: ``"simulated"`` for real runs; ``"predicted"`` when the result was
-    #: synthesised from the analytic model by surrogate screening
-    #: (:mod:`repro.bench.surrogate`).
-    source: str = "simulated"
-    #: Relative error bound on predicted throughput/latency; None for
-    #: simulated results.
-    prediction_bound: "Optional[float]" = None
-
-    def disk_utilization(self) -> float:
-        """Mean busy fraction of the stripe directories' disks."""
-        if not self.disk_stats or self.elapsed_sim_time <= 0:
-            return 0.0
-        busy = self.disk_stats["busy_time_per_server"]
-        return sum(busy) / (len(busy) * self.elapsed_sim_time)
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form of the whole run.
-
-        Tuple-keyed maps (``rank_traffic``) are encoded with
-        ``"src->dst"`` string keys; integer-keyed maps (``rank_task``)
-        with stringified keys, both reversed by :meth:`from_dict`.
-        ``dropped_cpis`` appears only when a read deadline was
-        configured, and ``metrics`` only when observability was on,
-        keeping pre-existing result hashes unchanged.
-        """
-        d = {
-            "spec": self.spec.to_dict(),
-            "cfg": self.cfg.to_dict(),
-            "fs_label": self.fs_label,
-            "machine_name": self.machine_name,
-            "trace": self.trace.to_dict(),
-            "measurement": self.measurement.to_dict(),
-            "detections": [d.to_dict() for d in self.detections],
-            "elapsed_sim_time": self.elapsed_sim_time,
-            "disk_stats": self.disk_stats,
-            "rank_traffic": (
-                None
-                if self.rank_traffic is None
-                else {
-                    f"{src}->{dst}": list(counts)
-                    for (src, dst), counts in self.rank_traffic.items()
-                }
-            ),
-            "rank_task": (
-                None
-                if self.rank_task is None
-                else {str(rank): task for rank, task in self.rank_task.items()}
-            ),
-        }
-        if self.dropped_cpis is not None:
-            d["dropped_cpis"] = [x.to_dict() for x in self.dropped_cpis]
-        if self.metrics is not None:
-            d["metrics"] = self.metrics
-        # Emitted only for predicted results, keeping simulated-result
-        # dicts (and hence all pre-existing result hashes) unchanged.
-        if self.source != "simulated":
-            d["source"] = self.source
-        if self.prediction_bound is not None:
-            d["prediction_bound"] = self.prediction_bound
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "PipelineResult":
-        """Inverse of :meth:`to_dict`.
-
-        Reads accept legacy camelCase key spellings (``fsLabel``,
-        ``rankTraffic``, ...) via :func:`~repro.core.serialize
-        .compat_get`; writes are always snake_case.
-        """
-        result = PipelineResult(
-            spec=PipelineSpec.from_dict(d["spec"]),
-            cfg=ExecutionConfig.from_dict(d["cfg"]),
-            fs_label=compat_get(d, "fs_label"),
-            machine_name=compat_get(d, "machine_name"),
-            trace=TraceCollector.from_dict(d["trace"]),
-            measurement=PipelineMeasurement.from_dict(d["measurement"]),
-            detections=[Detection.from_dict(x) for x in d["detections"]],
-            elapsed_sim_time=compat_get(d, "elapsed_sim_time"),
-        )
-        result.disk_stats = compat_get(d, "disk_stats")
-        rank_traffic = compat_get(d, "rank_traffic")
-        if rank_traffic is not None:
-            result.rank_traffic = {
-                tuple(int(r) for r in key.split("->")): tuple(counts)
-                for key, counts in rank_traffic.items()
-            }
-        rank_task = compat_get(d, "rank_task")
-        if rank_task is not None:
-            result.rank_task = {
-                int(rank): task for rank, task in rank_task.items()
-            }
-        dropped = compat_get(d, "dropped_cpis", None)
-        if dropped is not None:
-            result.dropped_cpis = [DroppedCpi.from_dict(x) for x in dropped]
-        result.metrics = d.get("metrics")
-        result.source = d.get("source", "simulated")
-        result.prediction_bound = d.get("prediction_bound")
-        return result
-
-    def task_traffic(self) -> "dict":
-        """Aggregate network traffic between tasks.
-
-        Returns ``{(src_task, dst_task): (messages, bytes)}`` summed over
-        all rank pairs and CPIs — the measurable form of the paper's
-        per-task communication terms :math:`C_i` (flow-control
-        acknowledgements included; they ride the same network).
-        """
-        out: dict = {}
-        if not self.rank_traffic or not self.rank_task:
-            return out
-        for (src, dst), (msgs, nbytes) in self.rank_traffic.items():
-            key = (self.rank_task[src], self.rank_task[dst])
-            acc = out.setdefault(key, [0, 0])
-            acc[0] += msgs
-            acc[1] += nbytes
-        return {k: tuple(v) for k, v in out.items()}
 
 
 class PipelineExecutor:

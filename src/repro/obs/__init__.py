@@ -25,39 +25,27 @@ chrome-trace counter tracks (see :mod:`repro.trace.export` and
 ``docs/observability.md``).
 """
 
-from repro.obs.instruments import (
-    METRICS_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timeseries,
-    validate_metrics_dict,
-)
-from repro.obs.instrument import instrument_pipeline, instrument_substrate
-from repro.obs.report import (
-    bottleneck_profile,
-    render_metrics_summary,
-    sparkline,
-    time_weighted_mean,
-)
-from repro.obs.sampler import Sampler
-from repro.obs.service import ServiceMetrics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ServiceMetrics",
-    "METRICS_SCHEMA",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Timeseries",
-    "MetricsRegistry",
-    "Sampler",
-    "instrument_pipeline",
-    "instrument_substrate",
-    "validate_metrics_dict",
-    "bottleneck_profile",
-    "render_metrics_summary",
-    "sparkline",
-    "time_weighted_mean",
-]
+#: Public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    "ServiceMetrics": "repro.obs.service",
+    "METRICS_SCHEMA": "repro.obs.instruments",
+    "Counter": "repro.obs.instruments",
+    "Gauge": "repro.obs.instruments",
+    "Histogram": "repro.obs.instruments",
+    "Timeseries": "repro.obs.instruments",
+    "MetricsRegistry": "repro.obs.instruments",
+    "Sampler": "repro.obs.sampler",
+    "instrument_pipeline": "repro.obs.instrument",
+    "instrument_substrate": "repro.obs.instrument",
+    "validate_metrics_dict": "repro.obs.instruments",
+    "bottleneck_profile": "repro.obs.report",
+    "render_metrics_summary": "repro.obs.report",
+    "sparkline": "repro.obs.report",
+    "time_weighted_mean": "repro.obs.report",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

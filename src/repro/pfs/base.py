@@ -188,7 +188,7 @@ class ParallelFileSystem:
         self._file_tokens: Dict[str, Resource] = {}
         #: ROMIO-style hints (``sieve_buffer_size``, ``cb_nodes``,
         #: ``list_io_max_runs``), populated by the executor from
-        #: :class:`~repro.core.executor.FSConfig`; readers and the
+        #: :class:`~repro.core.config.FSConfig`; readers and the
         #: list-I/O path consult it.  Empty = all defaults.
         self.hints: Dict[str, int] = {}
         # Server-directed placement state: per-path declared access

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.bench.engine import MACHINES, PIPELINES, WriterLoad
-from repro.core.context import ExecutionConfig
-from repro.core.executor import FSConfig, PipelineResult
+from repro.core.config import ExecutionConfig, FSConfig
 from repro.core.pipeline import NodeAssignment, PipelineSpec
+from repro.core.result import PipelineResult
 from repro.core.serialize import compat_get
 from repro.errors import ConfigurationError
 from repro.stap.params import STAPParams

@@ -12,37 +12,29 @@ behind a line-oriented TCP protocol (:mod:`repro.service.server`).
 See ``docs/service.md`` for the architecture tour.
 """
 
-from repro.service.model import (
-    Job,
-    JobCounters,
-    Lifecycle,
-    Stage,
-    State,
-    Task,
-    TaskSpec,
-)
-from repro.service.events import EventFeed
-from repro.service.pool import InlinePool, PoolEvent, ProcessPool, default_pool
-from repro.service.scheduler import ExperimentScheduler
-from repro.service.streaming import CellResult, JobHandle
-from repro.service.tasks import RUN_SPEC_RUNNER, run_spec_payload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentScheduler",
-    "EventFeed",
-    "JobHandle",
-    "CellResult",
-    "Job",
-    "Stage",
-    "Task",
-    "TaskSpec",
-    "State",
-    "Lifecycle",
-    "JobCounters",
-    "InlinePool",
-    "ProcessPool",
-    "PoolEvent",
-    "default_pool",
-    "RUN_SPEC_RUNNER",
-    "run_spec_payload",
-]
+#: Public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    "ExperimentScheduler": "repro.service.scheduler",
+    "EventFeed": "repro.service.events",
+    "JobHandle": "repro.service.streaming",
+    "CellResult": "repro.service.streaming",
+    "Job": "repro.service.model",
+    "Stage": "repro.service.model",
+    "Task": "repro.service.model",
+    "TaskSpec": "repro.service.model",
+    "State": "repro.service.model",
+    "Lifecycle": "repro.service.model",
+    "JobCounters": "repro.service.model",
+    "InlinePool": "repro.service.pool",
+    "ProcessPool": "repro.service.pool",
+    "PoolEvent": "repro.service.pool",
+    "default_pool": "repro.service.pool",
+    "RUN_SPEC_RUNNER": "repro.service.tasks",
+    "run_spec_payload": "repro.service.tasks",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

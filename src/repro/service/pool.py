@@ -329,15 +329,17 @@ class ProcessPool:
                     )
                 else:
                     error = None
+                    reason = ""
                     if blob is not None:
                         try:
                             error = pickle.loads(blob)
-                        except Exception:
-                            error = None
+                        except Exception as exc:  # noqa: BLE001 - reported below
+                            reason = (f" (its exception did not unpickle: "
+                                      f"{type(exc).__name__}: {exc})")
                     if error is None:
                         error = ServiceError(
                             f"task {task_id} failed in worker "
-                            f"{worker.id}:\n{tb}"
+                            f"{worker.id}{reason}:\n{tb}"
                         )
                     events.append(
                         PoolEvent("error", task_id, worker.id,

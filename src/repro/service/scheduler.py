@@ -36,6 +36,7 @@ methods only enqueue work and read snapshots under ``self._lock``.
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
@@ -56,6 +57,8 @@ DEFAULT_BACKPRESSURE = 64
 #: Default count of terminal jobs kept fully resident (handle + result
 #: payloads) before the oldest are evicted down to describe() snapshots.
 DEFAULT_JOB_RETENTION = 256
+
+_log = logging.getLogger("repro.service")
 
 #: Cap on evicted-job snapshots kept for ``repro jobs list``.
 _ARCHIVE_CAP = 4096
@@ -129,6 +132,10 @@ class ExperimentScheduler:
         #: Event listeners (see :meth:`add_listener`); no-overhead when
         #: empty — ``_emit`` short-circuits before building the event.
         self._listeners: List[Any] = []
+        #: Listener exceptions caught by ``_emit`` (see :meth:`stats`).
+        self.listener_errors = 0
+        self.last_listener_error: Optional[str] = None
+        self._listener_errors_lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._handles: Dict[str, JobHandle] = {}
         #: Terminal job ids in retirement order (eviction queue).
@@ -161,8 +168,9 @@ class ExperimentScheduler:
         the dispatcher, often *under the scheduler lock* — so they must
         be nonblocking and must not call back into the scheduler.
         Append to a queue or an :class:`~repro.service.events.EventFeed`
-        and do real work elsewhere.  Listener exceptions are swallowed:
-        observability must never fail a job.
+        and do real work elsewhere.  A listener exception never fails a
+        job: it is counted in :attr:`listener_errors` (reported by
+        :meth:`stats`) and logged on the ``repro.service`` logger.
         """
         with self._lock:
             self._listeners.append(fn)
@@ -174,8 +182,12 @@ class ExperimentScheduler:
         for fn in list(self._listeners):
             try:
                 fn(payload)
-            except Exception:  # noqa: BLE001 - see add_listener docs
-                pass
+            except Exception as exc:  # noqa: BLE001 - see add_listener docs
+                with self._listener_errors_lock:
+                    self.listener_errors += 1
+                    self.last_listener_error = f"{type(exc).__name__}: {exc}"
+                _log.warning("listener %r failed on a %r event", fn, event,
+                             exc_info=True)
 
     def _emit_job_locked(self, job: Job) -> None:
         self._emit(
@@ -342,6 +354,17 @@ class ExperimentScheduler:
     def tasks_in_flight(self) -> int:
         with self._lock:
             return len(self._running)
+
+    def stats(self) -> Dict[str, Any]:
+        """The service gauges behind the ``stats`` op and the dashboard:
+        the metrics snapshot plus ``tasks_in_flight``, ``listener_errors``
+        and ``last_listener_error`` (the last caught exception's text)."""
+        stats: Dict[str, Any] = self.metrics.snapshot()
+        stats["tasks_in_flight"] = self.tasks_in_flight
+        with self._listener_errors_lock:
+            stats["listener_errors"] = self.listener_errors
+            stats["last_listener_error"] = self.last_listener_error
+        return stats
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop dispatching, cancel live jobs, and stop the workers."""

@@ -22,10 +22,14 @@ one per line, UTF-8:
   the server to have been built with a feed);
 * ``{"op": "stats"}`` → ``{"ok": true, "stats": {...}}`` — the
   :class:`~repro.obs.service.ServiceMetrics` snapshot plus
-  ``tasks_in_flight`` and worker PIDs, the dashboard's gauge source.
+  ``tasks_in_flight``, ``listener_errors`` / ``last_listener_error``
+  and worker PIDs, the dashboard's gauge source.
 
 Anything the server rejects answers ``{"ok": false, "error": msg}`` —
-a malformed request never kills the service.  Each connection carries
+a malformed request never kills the service.  A request line may be at
+most :data:`MAX_REQUEST_BYTES` (1 MiB, about 1,300 cells per submit);
+a longer one is rejected unparsed, and any request text an error echoes
+back is cut to 200 characters.  Each connection carries
 one request (plus its event stream), which keeps both ends stateless.
 
 Streaming back over TCP composes with the scheduler's dispatch-side
@@ -52,6 +56,29 @@ __all__ = [
 
 #: Server-side accept timeout; bounds shutdown latency.
 _ACCEPT_TICK = 0.2
+
+#: Longest request line the server reads.
+MAX_REQUEST_BYTES = 1 << 20
+
+#: Request text echoed in an error is cut to this many characters.
+_ECHO_CHARS = 200
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to :data:`_ECHO_CHARS` characters for an error echo."""
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return text[:_ECHO_CHARS] + f"... ({len(text)} chars)"
+
+
+def _discard_line(rfile) -> None:
+    """Drop the rest of an oversized request line, a bounded chunk at a
+    time, so that a client still sending reads the error rather than a
+    connection reset."""
+    while True:
+        chunk = rfile.readline(MAX_REQUEST_BYTES)
+        if not chunk or chunk.endswith(b"\n"):
+            return
 
 
 def _send(wfile, obj: Dict[str, Any]) -> None:
@@ -121,15 +148,21 @@ class ExperimentServer:
             rfile = conn.makefile("rb")
             wfile = conn.makefile("wb")
             try:
-                line = rfile.readline()
+                line = rfile.readline(MAX_REQUEST_BYTES + 1)
                 if not line:
+                    return
+                if len(line) > MAX_REQUEST_BYTES:
+                    _send(wfile, {"ok": False, "error": "request line exceeds "
+                                  f"{MAX_REQUEST_BYTES} bytes"})
+                    _discard_line(rfile)
                     return
                 try:
                     req = json.loads(line.decode("utf-8"))
                     if not isinstance(req, dict):
                         raise ValueError("request must be a JSON object")
                 except (ValueError, UnicodeDecodeError) as exc:
-                    _send(wfile, {"ok": False, "error": f"bad request: {exc}"})
+                    _send(wfile, {"ok": False,
+                                  "error": f"bad request: {_clip(str(exc))}"})
                     return
                 self._handle(req, wfile)
             except (BrokenPipeError, ConnectionResetError, OSError):
@@ -144,8 +177,8 @@ class ExperimentServer:
         elif op == "job":
             info = self.scheduler.job(str(req.get("id")))
             if info is None:
-                _send(wfile, {"ok": False,
-                              "error": f"no such job: {req.get('id')!r}"})
+                _send(wfile, {"ok": False, "error":
+                              f"no such job: {_clip(repr(req.get('id')))}"})
             else:
                 _send(wfile, {"ok": True, "job": info})
         elif op == "cancel":
@@ -160,7 +193,8 @@ class ExperimentServer:
                 after = int(req.get("after") or 0)
                 timeout = min(float(req.get("timeout") or 0.0), 30.0)
             except (TypeError, ValueError) as exc:
-                _send(wfile, {"ok": False, "error": f"bad cursor: {exc}"})
+                _send(wfile, {"ok": False,
+                              "error": f"bad cursor: {_clip(str(exc))}"})
                 return
             if timeout > 0:
                 events, cursor = self.feed.wait(after, timeout=timeout)
@@ -168,17 +202,16 @@ class ExperimentServer:
                 events, cursor = self.feed.since(after)
             _send(wfile, {"ok": True, "events": events, "next": cursor})
         elif op == "stats":
-            stats = self.scheduler.metrics.snapshot()
-            stats["tasks_in_flight"] = self.scheduler.tasks_in_flight
             _send(wfile, {
                 "ok": True,
-                "stats": stats,
+                "stats": self.scheduler.stats(),
                 "workers": self.scheduler.worker_pids(),
             })
         elif op == "submit":
             self._handle_submit(req, wfile)
         else:
-            _send(wfile, {"ok": False, "error": f"unknown op: {op!r}"})
+            _send(wfile, {"ok": False,
+                          "error": f"unknown op: {_clip(repr(op))}"})
 
     def _handle_submit(self, req: Dict[str, Any], wfile) -> None:
         from repro.bench.engine import ExperimentSpec
@@ -193,7 +226,7 @@ class ExperimentServer:
             if not specs:
                 raise ValueError("empty spec list")
         except (ReproError, KeyError, TypeError, ValueError) as exc:
-            _send(wfile, {"ok": False, "error": f"bad specs: {exc}"})
+            _send(wfile, {"ok": False, "error": f"bad specs: {_clip(str(exc))}"})
             return
         client = str(req.get("client") or "remote")
         handle = self.scheduler.submit(specs, client=client,

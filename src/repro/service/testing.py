@@ -22,14 +22,17 @@ __all__ = [
     "SLEEP_RUNNER",
     "SLOW_FIRST_RUNNER",
     "FAILING_RUNNER",
+    "UNPICKLABLE_ERROR_RUNNER",
     "sleep_payload",
     "slow_first_attempt_payload",
     "failing_payload",
+    "unpicklable_error_payload",
 ]
 
 SLEEP_RUNNER = "repro.service.testing:sleep_payload"
 SLOW_FIRST_RUNNER = "repro.service.testing:slow_first_attempt_payload"
 FAILING_RUNNER = "repro.service.testing:failing_payload"
+UNPICKLABLE_ERROR_RUNNER = "repro.service.testing:unpicklable_error_payload"
 
 
 def _touch(directory: str, name: str) -> None:
@@ -77,3 +80,17 @@ def failing_payload(payload: dict) -> dict:
     """Raise ``ValueError(payload["message"])`` — a deterministic task
     failure (never retried; fails the job)."""
     raise ValueError(payload.get("message", "synthetic task failure"))
+
+
+class TwoPartError(Exception):
+    """An exception that pickles but cannot unpickle: ``args`` holds one
+    value while ``__init__`` requires two."""
+
+    def __init__(self, what: str, detail: str) -> None:
+        super().__init__(f"{what}: {detail}")
+
+
+def unpicklable_error_payload(payload: dict) -> dict:
+    """Raise :class:`TwoPartError`, whose pickled form the parent cannot
+    load — the pool's fallback error path."""
+    raise TwoPartError("synthetic", payload.get("message", "failure"))

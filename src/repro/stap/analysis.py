@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.errors import ConfigurationError
 from repro.stap.doppler import doppler_window
@@ -140,6 +139,8 @@ def optimal_weights(R: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Clairvoyant MVDR weights ``R^-1 v / (v^H R^-1 v)`` (no loading)."""
     if R.shape[0] != v.shape[0]:
         raise ConfigurationError("steering/covariance dimension mismatch")
+    import scipy.linalg as sla
+
     sol = sla.solve(R, v, assume_a="pos")
     return sol / np.vdot(v, sol)
 

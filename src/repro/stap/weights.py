@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.errors import ConfigurationError
 from repro.stap.doppler import DopplerOutput, bin_frequency
@@ -123,6 +122,8 @@ def mvdr_from_covariance(
         raise ConfigurationError(
             f"steering dof {steering.shape[0]} != covariance dof {dof}"
         )
+    import scipy.linalg as sla
+
     load = diagonal_load * (np.real(np.trace(R)) / dof + 1e-12)
     R = R + load * np.eye(dof, dtype=R.dtype)
     cho = sla.cho_factor(R, lower=True, check_finite=False)

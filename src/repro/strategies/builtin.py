@@ -6,6 +6,9 @@ in :mod:`repro.core.pipeline`, and their readers reproduce the old
 ``_SlabReader`` behaviour exactly).  The rest use the strategy seam for
 access methods the paper's MPI-IO lineage established later: deeper
 prefetch pipelines, data sieving, and collective two-phase I/O.
+
+Readers are imported inside ``make_reader``: listing or looking up a
+strategy (the CLI parser, spec hashing) never loads numpy.
 """
 
 from __future__ import annotations
@@ -18,23 +21,16 @@ from repro.core.pipeline import (
     combine_pulse_cfar,
 )
 from repro.strategies.base import IOStrategy, register
-from repro.strategies.readers import (
-    AsyncPrefetchReader,
-    ListIOReader,
-    SievingAsyncReader,
-    SievingSyncReader,
-    SyncReader,
-    TwoPhaseReader,
-    declare_access_pattern,
-)
 
 
 def make_adaptive_reader(ctx, rlo: int, rhi: int, prefetch_depth: int = 1):
     """The classic access method: async 1-deep prefetch when the file
     system provides it (PFS), blocking reads otherwise (PIOFS)."""
+    import repro.strategies.readers as readers
+
     if ctx.fileset.fs.supports_async:
-        return AsyncPrefetchReader(ctx, rlo, rhi, prefetch_depth)
-    return SyncReader(ctx, rlo, rhi)
+        return readers.AsyncPrefetchReader(ctx, rlo, rhi, prefetch_depth)
+    return readers.SyncReader(ctx, rlo, rhi)
 
 
 @register
@@ -100,7 +96,9 @@ class EmbeddedPrefetch2(IOStrategy):
         return replace(build_embedded_pipeline(assignment), name=self.name)
 
     def make_reader(self, ctx, rlo, rhi):
-        return AsyncPrefetchReader(ctx, rlo, rhi, prefetch_depth=2)
+        import repro.strategies.readers as readers
+
+        return readers.AsyncPrefetchReader(ctx, rlo, rhi, prefetch_depth=2)
 
 
 @register
@@ -115,7 +113,9 @@ class CollectiveTwoPhase(IOStrategy):
         return replace(build_embedded_pipeline(assignment), name=self.name)
 
     def make_reader(self, ctx, rlo, rhi):
-        return TwoPhaseReader(ctx, rlo, rhi)
+        import repro.strategies.readers as readers
+
+        return readers.TwoPhaseReader(ctx, rlo, rhi)
 
 
 @register
@@ -128,9 +128,11 @@ class DataSieving(IOStrategy):
         return replace(build_embedded_pipeline(assignment), name=self.name)
 
     def make_reader(self, ctx, rlo, rhi):
+        import repro.strategies.readers as readers
+
         if ctx.fileset.fs.supports_async:
-            return SievingAsyncReader(ctx, rlo, rhi)
-        return SievingSyncReader(ctx, rlo, rhi)
+            return readers.SievingAsyncReader(ctx, rlo, rhi)
+        return readers.SievingSyncReader(ctx, rlo, rhi)
 
 
 @register
@@ -146,7 +148,9 @@ class ListIO(IOStrategy):
         return replace(build_embedded_pipeline(assignment), name=self.name)
 
     def make_reader(self, ctx, rlo, rhi):
-        return ListIOReader(ctx, rlo, rhi)
+        import repro.strategies.readers as readers
+
+        return readers.ListIOReader(ctx, rlo, rhi)
 
 
 @register
@@ -159,5 +163,7 @@ class ServerDirected(IOStrategy):
         return replace(build_embedded_pipeline(assignment), name=self.name)
 
     def make_reader(self, ctx, rlo, rhi):
-        declare_access_pattern(ctx)
+        import repro.strategies.readers as readers
+
+        readers.declare_access_pattern(ctx)
         return make_adaptive_reader(ctx, rlo, rhi)

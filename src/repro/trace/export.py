@@ -18,7 +18,7 @@ The four pairs:
   within it; each phase record becomes a complete event named
   ``"<phase> cpi=<k>"``, categorised by phase so the UI can filter.
   Accepts either a bare :class:`~repro.trace.collector.TraceCollector`
-  or a :class:`~repro.core.executor.PipelineResult`; given a result
+  or a :class:`~repro.core.result.PipelineResult`; given a result
   that carries a metrics artifact, each sampled gauge series is merged
   in as a counter track (``ph: "C"``) under a dedicated ``metrics``
   process, so queue depths and utilization plot directly under the

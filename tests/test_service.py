@@ -7,8 +7,10 @@ SweepRunner-on-scheduler equivalence guarantees, and the TCP front end.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -30,11 +32,17 @@ from repro.service import (
 )
 from repro.service.model import Job, Lifecycle, Stage, Task
 from repro.service.pool import InlinePool, ProcessPool, resolve_runner
-from repro.service.server import ExperimentServer, request, submit_batch
+from repro.service.server import (
+    MAX_REQUEST_BYTES,
+    ExperimentServer,
+    request,
+    submit_batch,
+)
 from repro.service.testing import (
     FAILING_RUNNER,
     SLEEP_RUNNER,
     SLOW_FIRST_RUNNER,
+    UNPICKLABLE_ERROR_RUNNER,
 )
 
 FAST = ExecutionConfig(n_cpis=2, warmup=0)
@@ -189,6 +197,23 @@ class TestProcessPool:
     def test_size_validated(self):
         with pytest.raises(ConfigurationError):
             ProcessPool(0)
+
+    def test_unpicklable_error_keeps_the_unpickle_reason(self):
+        pool = ProcessPool(1)
+        try:
+            pool.submit("t1", UNPICKLABLE_ERROR_RUNNER, {"message": "boom"})
+            events = []
+            assert wait_until(
+                lambda: events.extend(pool.poll(timeout=0.2)) or events
+            )
+            (ev,) = events
+            assert ev.kind == "error" and isinstance(ev.error, ServiceError)
+            text = str(ev.error)
+            assert "did not unpickle: TypeError" in text
+            assert "missing 1 required positional argument" in text
+            assert "TwoPartError: synthetic: boom" in text  # the traceback
+        finally:
+            pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +750,30 @@ class TestServiceMetrics:
         assert snap["service_jobs_completed_total"] == 1
         assert snap["service_tasks_completed_total"] == 1
 
+    def test_raising_listener_is_counted_not_fatal(self, tmp_path, caplog):
+        raised = []
+
+        def bad_listener(event):
+            if not raised:
+                raised.append(event["event"])
+                raise RuntimeError("listener broke")
+
+        with ExperimentScheduler(workers=0) as s:
+            s.add_listener(bad_listener)
+            with caplog.at_level("WARNING", logger="repro.service"):
+                h = s.submit_stages(
+                    [("x", [sleep_cell("k", tmp_path, value=5)])], client="a"
+                )
+                assert [c.payload["value"] for c in h.results()] == [5]
+            with ExperimentServer(s, port=0) as server:
+                stats = request(server.host, server.port,
+                                {"op": "stats"})["stats"]
+        assert h.job.state is State.DONE
+        assert stats["listener_errors"] == 1
+        assert stats["last_listener_error"] == "RuntimeError: listener broke"
+        assert [r.name for r in caplog.records] == ["repro.service"]
+        assert "listener broke" in caplog.text
+
 
 # ---------------------------------------------------------------------------
 # TCP front end
@@ -837,3 +886,41 @@ class TestServer:
         # the server is still alive
         assert request(server.host, server.port,
                        {"op": "ping"})["event"] == "pong"
+
+def raw_request(server, payload: bytes) -> dict:
+    """Send raw bytes as one request line; the server's parsed reply."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=DEADLINE) as conn:
+        conn.sendall(payload)
+        line = conn.makefile("rb").readline()
+    return json.loads(line.decode("utf-8"))
+
+
+class TestBoundedRequests:
+    def test_oversized_line_rejected(self, served_scheduler):
+        _, server = served_scheduler
+        resp = raw_request(server, b"x" * (MAX_REQUEST_BYTES + 4096) + b"\n")
+        assert resp == {
+            "ok": False,
+            "error": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+        }
+        assert request(server.host, server.port,
+                       {"op": "ping"})["event"] == "pong"
+
+    def test_line_at_the_limit_is_read(self, served_scheduler):
+        _, server = served_scheduler
+        req = json.dumps({"op": "ping"}).encode("utf-8")
+        padded = req + b" " * (MAX_REQUEST_BYTES - len(req) - 1) + b"\n"
+        assert len(padded) == MAX_REQUEST_BYTES
+        assert raw_request(server, padded) == {"ok": True, "event": "pong"}
+
+    @pytest.mark.parametrize("payload", [
+        b"{" + b"x" * 10_000 + b"\n",                       # malformed JSON
+        json.dumps({"op": "y" * 10_000}).encode() + b"\n",  # echoed op
+        json.dumps({"op": "job", "id": "j" * 10_000}).encode() + b"\n",
+    ])
+    def test_echoed_input_is_clipped(self, served_scheduler, payload):
+        _, server = served_scheduler
+        resp = raw_request(server, payload)
+        assert resp["ok"] is False
+        assert len(resp["error"]) < 300
