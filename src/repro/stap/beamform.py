@@ -8,10 +8,14 @@ hard task (2J space-time snapshots) — only the array widths differ.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.stap.weights import WeightSet
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.stap.weights import WeightSet
 
 __all__ = ["beamform"]
 
@@ -32,6 +36,8 @@ def beamform(data: np.ndarray, weights: WeightSet) -> np.ndarray:
     np.ndarray
         ``(n_bins, n_beams, n_ranges)`` beamformed output.
     """
+    import numpy as np
+
     w = weights.weights
     if data.ndim != 3 or w.ndim != 3:
         raise ConfigurationError("data and weights must be 3-D")
